@@ -1,6 +1,6 @@
-"""Speedup benchmark for the vectorized allotment engine (PR 1 tentpole).
+"""Speedup benchmark for the vectorized allotment engine and the list scheduler.
 
-Three measurements, printed as a table:
+Four measurements, printed as a table:
 
 1. **Cold throughput** — γ(d) for all tasks over a sweep of *distinct*
    deadlines: the scalar per-task reference loop (the pre-engine code path,
@@ -14,28 +14,44 @@ Three measurements, printed as a table:
 3. **End-to-end EXP-A** — a small ``sweep_workloads`` serially and with
    ``workers=4``, double-checking that the parallel records are identical
    to the serial ones (modulo the measured per-run wall times).
+4. **Cold MRT** — ``MRTScheduler().schedule`` on the 9-instance grid
+   {mixed, uniform, heavy-tailed} × {(50,32), (200,64), (500,128)}, each
+   run on a fresh ``Instance``, against the same scheduler whose canonical
+   list branch is the monotonic-deque list scheduler it replaced (kept
+   verbatim in ``tests/deque_oracle.py``, the oracle of the differential
+   tests).  The speedup is only meaningful between equal outputs, so every
+   timed schedule must be byte-identical to the reference one; the
+   acceptance bar is a ≥ 3× speedup.
 
 Run directly (CI uses ``--quick``)::
 
     PYTHONPATH=src python benchmarks/bench_engine_speedup.py [--quick]
 
-Exits non-zero when the cached speedup drops below the 3× acceptance bar,
-so the perf harness cannot silently rot.
+Exits non-zero when the cached speedup drops below its 3× bar, when the
+cold-MRT speedup drops below its 3× bar or when any cold-MRT schedule
+differs from the reference, so the perf harness cannot silently rot.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.experiments import sweep_workloads
+from repro.core import mrt as mrt_module
 from repro.core.allotment_engine import AllotmentEngine
+from repro.core.mrt import MRTScheduler
 from repro.model.instance import Instance
 from repro.workloads.generators import make_workload
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from deque_oracle import oracle_canonical_list_schedule  # noqa: E402
 
 
 # --------------------------------------------------------------------------- #
@@ -163,6 +179,61 @@ def bench_expa_end_to_end(quick: bool) -> None:
         raise SystemExit("FAIL: workers=4 records differ from the serial run")
 
 
+#: Acceptance bar of cold MRT over the deque list scheduler.
+MIN_MRT_SPEEDUP = 3.0
+
+MRT_GRID = [
+    (family, n, m)
+    for family in ("mixed", "uniform", "heavy-tailed")
+    for n, m in ((50, 32), (200, 64), (500, 128))
+]
+
+
+def cold_mrt_pass() -> tuple[float, list[str]]:
+    """One pass over the grid on fresh instances: (seconds, schedule JSON)."""
+    instances = [make_workload(f, n, m, seed=0) for f, n, m in MRT_GRID]
+    outputs = []
+    elapsed = 0.0
+    for instance in instances:
+        start = time.perf_counter()
+        schedule = MRTScheduler().schedule(instance)
+        elapsed += time.perf_counter() - start
+        outputs.append(json.dumps(schedule.as_dict(), sort_keys=True))
+    return elapsed, outputs
+
+
+def bench_cold_mrt(quick: bool) -> tuple[float, bool]:
+    """Return (speedup, identical) of cold MRT vs the deque list scheduler.
+
+    Best of ``repeat`` passes per side, alternating; every pass of either
+    side must produce the same schedules.
+    """
+    repeat = 2 if quick else 5
+    new_times, ref_times = [], []
+    outputs = set()
+    for _ in range(repeat):
+        elapsed, out = cold_mrt_pass()
+        new_times.append(elapsed)
+        outputs.add(tuple(out))
+        original = mrt_module.canonical_list_schedule
+        mrt_module.canonical_list_schedule = oracle_canonical_list_schedule
+        try:
+            elapsed, out = cold_mrt_pass()
+        finally:
+            mrt_module.canonical_list_schedule = original
+        ref_times.append(elapsed)
+        outputs.add(tuple(out))
+    speedup = min(ref_times) / min(new_times)
+    identical = len(outputs) == 1
+    print(f"grid                           : {len(MRT_GRID)} instances "
+          "{mixed, uniform, heavy-tailed} x {(50,32), (200,64), (500,128)}")
+    print(f"deque list scheduler (best of {repeat}): {min(ref_times) * 1e3:9.2f} ms")
+    print(f"current scheduler    (best of {repeat}): {min(new_times) * 1e3:9.2f} ms   "
+          f"speedup {speedup:6.2f}x")
+    print(f"schedules byte-identical to the reference: {identical}")
+    return speedup, identical
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small sizes for CI")
@@ -184,15 +255,34 @@ def main(argv: list[str] | None = None) -> int:
     print("=" * 72)
     bench_expa_end_to_end(args.quick)
     print()
+    print("=" * 72)
+    print(">>> cold MRT: doubling-window list scheduler vs the deque reference")
+    print("=" * 72)
+    mrt_speedup, identical = bench_cold_mrt(args.quick)
+    print()
+    failed = False
     if cached_speedup < args.min_cached_speedup:
         print(
             f"FAIL: cached replay speedup {cached_speedup:.1f}x is below the "
             f"{args.min_cached_speedup:.1f}x acceptance bar"
         )
-        return 1
-    print(f"OK: cached replay speedup {cached_speedup:.1f}x "
-          f"(bar: {args.min_cached_speedup:.1f}x)")
-    return 0
+        failed = True
+    else:
+        print(f"OK: cached replay speedup {cached_speedup:.1f}x "
+              f"(bar: {args.min_cached_speedup:.1f}x)")
+    if not identical:
+        print("FAIL: cold MRT schedules differ from the deque reference")
+        failed = True
+    if mrt_speedup < MIN_MRT_SPEEDUP:
+        print(
+            f"FAIL: cold MRT speedup {mrt_speedup:.2f}x is below the "
+            f"{MIN_MRT_SPEEDUP:.1f}x acceptance bar"
+        )
+        failed = True
+    elif identical:
+        print(f"OK: cold MRT speedup {mrt_speedup:.2f}x "
+              f"(bar: {MIN_MRT_SPEEDUP:.1f}x), schedules byte-identical")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,11 @@ The :class:`AllotmentEngine` replaces the scalar loops with two ideas:
   digits).  The dichotomic searches of the schedulers and of the lower
   bound revisit exactly the same guesses (the lower bound is recomputed by
   ``dual_search``, ``MRTScheduler`` and ``best_lower_bound`` alike), so
-  repeated evaluations become dictionary hits.
+  repeated evaluations become dictionary hits.  A second LRU of the same
+  capacity holds list-scheduling placements keyed by the allotment they
+  were built from (:meth:`AllotmentEngine.placements`): the canonical list
+  algorithm is a pure function of γ(d), and most guesses of a dual search
+  share their canonical allotment with an earlier one.
 
 The engine is deliberately model-agnostic: it only sees the stacked
 matrices, so it can be unit-tested against the scalar reference
@@ -40,6 +44,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -205,7 +210,8 @@ class AllotmentEngine:
         ``works_matrix[i, p-1] = p · t_i(p)``; derived from ``times_matrix``
         when omitted.
     cache_size:
-        Number of distinct (quantized) deadlines remembered.
+        Number of distinct (quantized) deadlines remembered, and of distinct
+        allotments whose placements are remembered.
     """
 
     __slots__ = (
@@ -215,9 +221,12 @@ class AllotmentEngine:
         "_n",
         "_cache",
         "_cache_size",
+        "_placements",
         "_lock",
         "hits",
         "misses",
+        "placement_hits",
+        "placement_misses",
     )
 
     def __init__(
@@ -241,6 +250,7 @@ class AllotmentEngine:
         self._n, self._m = times.shape
         self._cache: OrderedDict[float, GammaProfile] = OrderedDict()
         self._cache_size = int(cache_size)
+        self._placements: OrderedDict[bytes, tuple] = OrderedDict()
         # The LRU bookkeeping (get + move_to_end + popitem) is not atomic;
         # the experiment runner's thread-pool fallback shares one engine per
         # instance across concurrent runs, so guard it with a lock.
@@ -248,6 +258,8 @@ class AllotmentEngine:
         #: cache statistics (exposed for the speedup benchmark and tests)
         self.hits = 0
         self.misses = 0
+        self.placement_hits = 0
+        self.placement_misses = 0
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -273,20 +285,28 @@ class AllotmentEngine:
         return self._works
 
     def cache_info(self) -> dict[str, int]:
-        """Cache statistics: hits, misses, current size and capacity."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": len(self._cache),
-            "maxsize": self._cache_size,
-        }
+        """Cache statistics: γ-profile hits, misses, size and capacity, and
+        the same counts for the placement memo (``placement_*``)."""
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "size": len(self._cache),
+                "maxsize": self._cache_size,
+                "placement_hits": self.placement_hits,
+                "placement_misses": self.placement_misses,
+                "placement_size": len(self._placements),
+            }
 
     def clear_cache(self) -> None:
-        """Drop every memoized profile and reset the statistics."""
+        """Drop every memoized profile and placement and reset the statistics."""
         with self._lock:
             self._cache.clear()
+            self._placements.clear()
             self.hits = 0
             self.misses = 0
+            self.placement_hits = 0
+            self.placement_misses = 0
 
     # ------------------------------------------------------------------ #
     # the vectorized pass
@@ -337,6 +357,28 @@ class AllotmentEngine:
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
         return profile
+
+    def placements(self, key: bytes, build: Callable[[], tuple]) -> tuple:
+        """The memoized ``build()`` for the allotment identified by ``key``.
+
+        ``key`` is the allotment's ``procs.tobytes()``; the value must be
+        immutable (a tuple of frozen placements), since every caller gets
+        the same object.  Thread-safe like :meth:`gamma`: concurrent misses
+        may build the same value twice, never corrupt the LRU.
+        """
+        with self._lock:
+            cached = self._placements.get(key)
+            if cached is not None:
+                self.placement_hits += 1
+                self._placements.move_to_end(key)
+                return cached
+            self.placement_misses += 1
+        value = build()
+        with self._lock:
+            self._placements[key] = value
+            if len(self._placements) > self._cache_size:
+                self._placements.popitem(last=False)
+        return value
 
     # ------------------------------------------------------------------ #
     # derived quantities (each a thin view over the memoized pass)

@@ -60,19 +60,27 @@ def canonical_list_schedule(instance: Instance, guess: float) -> Schedule | None
     processors (γ_i(d) does not exist) — a sound infeasibility certificate.
     The produced schedule is always valid; its *length* is only guaranteed to
     be ≤ 2μ·d under the hypotheses of Theorem 2, which the caller must check.
+
+    The placements depend on the guess only through γ(d), so they are
+    memoized per canonical allotment on the instance's engine.  Every call
+    returns a fresh :class:`Schedule` and validates it.
     """
     if guess <= 0:
         return None
     alloc = canonical_allotment(instance, guess)
     if alloc is None:
         return None
-    allotment = Allotment(instance, alloc.procs)
-    order = sorted(
-        range(instance.num_tasks), key=lambda i: (-alloc.times[i], i)
-    )
-    schedule = contiguous_list_schedule(
-        allotment, order, algorithm="canonical-list"
-    )
+
+    def place() -> tuple:
+        order = sorted(
+            range(instance.num_tasks), key=lambda i: (-alloc.times[i], i)
+        )
+        return contiguous_list_schedule(
+            Allotment(instance, alloc.procs), order, algorithm="canonical-list"
+        ).entries
+
+    schedule = Schedule(instance, algorithm="canonical-list")
+    schedule.extend(instance.engine.placements(alloc.procs.tobytes(), place))
     schedule.validate()
     return schedule
 

@@ -5,9 +5,10 @@ instance by going through the tasks in a priority order and placing each one
 as early as possible on a contiguous block of processors.  This module holds
 that shared machinery:
 
-* :func:`sliding_window_max` — O(m) computation of the earliest start of
-  every contiguous block of a given width over a per-processor availability
-  profile,
+* :func:`sliding_window_max` — the earliest start of every contiguous block
+  of a given width over a per-processor availability profile, computed by
+  log-doubling: ⌈log2 width⌉ vectorised ``maximum`` passes over the profile,
+  i.e. O(m·log w) element operations in O(log w) NumPy calls,
 * :func:`contiguous_list_schedule` — the list scheduler itself, with the
   paper's tie-breaking convention (leftmost block when starting at time 0,
   rightmost block otherwise, Section 3.2), and
@@ -17,12 +18,16 @@ that shared machinery:
 
 The scheduler works on an availability profile (one completion time per
 processor); it therefore produces the stacked "shelf-like" structure the
-paper analyses (no backfilling into idle gaps between levels).
+paper analyses (no backfilling into idle gaps between levels).  Window
+maxima are exact (``max`` never rounds), so the placements do not depend on
+how they are computed.  The scheduler is a pure function of the allotment
+and the order: :func:`repro.core.canonical_list.canonical_list_schedule`
+memoizes its placements per canonical allotment on the instance's
+allotment engine.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,28 +55,38 @@ class ListPlacement:
     num_procs: int
 
 
+def _window_max(avail: np.ndarray, width: int) -> np.ndarray:
+    """Entry ``s`` is ``max(avail[s : s + width])`` (may alias ``avail``).
+
+    Doubling: after the pass with shift ``span`` every entry is the maximum
+    of a window of ``2·span`` entries; the remainder ``width − span`` is one
+    overlapping pass.  ``np.maximum`` keeps its first argument on ties, so
+    on equal values the rightmost entry wins, as in a monotonic deque.
+    """
+    out = avail
+    span = 1
+    while 2 * span <= width:
+        out = np.maximum(out[span:], out[:-span])
+        span *= 2
+    rest = width - span
+    if rest:
+        out = np.maximum(out[rest:], out[:-rest])
+    return out
+
+
 def sliding_window_max(values: np.ndarray, width: int) -> np.ndarray:
     """Maximum of every contiguous window of ``width`` entries of ``values``.
 
-    Returns an array of length ``len(values) - width + 1`` where entry ``s``
-    is ``max(values[s : s + width])``.  Runs in O(len(values)) using a
-    monotonic deque, which keeps the overall list scheduler at
-    O(n·m) instead of O(n·m·p).
+    Returns a new array of length ``len(values) - width + 1`` where entry
+    ``s`` is ``max(values[s : s + width])``.  Computed by log-doubling in
+    ⌈log2 width⌉ vectorised passes (O(len(values)·log width) element
+    operations); the list scheduler uses the same kernel per placement.
     """
+    values = np.asarray(values, dtype=float)
     n = values.size
     if width < 1 or width > n:
         raise ValueError(f"window width {width} outside 1..{n}")
-    out = np.empty(n - width + 1, dtype=float)
-    dq: deque[int] = deque()
-    for i in range(n):
-        while dq and values[dq[-1]] <= values[i]:
-            dq.pop()
-        dq.append(i)
-        if dq[0] <= i - width:
-            dq.popleft()
-        if i >= width - 1:
-            out[i - width + 1] = values[dq[0]]
-    return out
+    return _window_max(values, width).copy()
 
 
 def contiguous_list_schedule(
@@ -133,13 +148,13 @@ def contiguous_list_schedule(
                 "processors"
             )
         duration = instance.tasks[task_index].time(width)
-        starts = sliding_window_max(avail, width)
+        starts = _window_max(avail, width)
         best_start = float(starts.min())
-        positions = np.nonzero(starts <= best_start + 1e-12)[0]
+        fits = starts <= best_start + 1e-12
         if best_start <= base_time + 1e-12:
-            first_proc = int(positions[0])  # leftmost at the initial time
+            first_proc = int(fits.argmax())  # leftmost at the initial time
         else:
-            first_proc = int(positions[-1])  # rightmost otherwise
+            first_proc = fits.size - 1 - int(fits[::-1].argmax())  # rightmost
         schedule.add(task_index, best_start, first_proc, width, duration=duration)
         avail[first_proc : first_proc + width] = best_start + duration
     return schedule

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import json
 import math
+import pickle
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +21,14 @@ from repro.core.canonical_list import (
     first_two_level_completion,
     outside_levels_are_small_sequential,
 )
+from repro.core import allotment_engine
 from repro.core.list_scheduling import compute_levels
+from repro.core.mrt import MRTScheduler
+from repro.lint import run_lint
 from repro.lower_bounds import canonical_area_lower_bound
+from repro.model.schedule import Schedule
 from repro.workloads.adversarial import property3_stress_instances
+from repro.workloads.generators import make_workload
 
 
 class TestCanonicalListSchedule:
@@ -75,6 +87,134 @@ class TestCanonicalListSchedule:
         schedule = canonical_list_schedule(medium_instance, guess)
         assert schedule is not None
         assert first_two_level_completion(schedule) <= schedule.makespan() + 1e-9
+
+
+class TestPlacementMemo:
+    """canonical_list_schedule memoizes placements per canonical allotment."""
+
+    @staticmethod
+    def fresh_instance():
+        return make_workload("mixed", 30, 16, seed=4)
+
+    def test_repeated_allotment_returns_equal_distinct_schedule(self):
+        inst = self.fresh_instance()
+        guess = canonical_area_lower_bound(inst) * 1.3
+        first = canonical_list_schedule(inst, guess)
+        second = canonical_list_schedule(inst, guess)
+        assert first is not None and second is not None
+        assert first is not second
+        assert first.entries == second.entries
+        assert second.algorithm == "canonical-list"
+        info = inst.engine_cache_info()
+        assert (info["placement_misses"], info["placement_hits"]) == (1, 1)
+
+    def test_mutating_a_hit_does_not_leak_into_later_hits(self):
+        inst = self.fresh_instance()
+        guess = canonical_area_lower_bound(inst) * 1.3
+        reference = canonical_list_schedule(inst, guess)
+        hit = canonical_list_schedule(inst, guess)
+        hit.add(0, 1e6, 0, 1)
+        later = canonical_list_schedule(inst, guess)
+        assert later.entries == reference.entries
+        assert len(later) == inst.num_tasks
+
+    def test_nearby_guess_with_same_allotment_is_a_hit(self):
+        inst = self.fresh_instance()
+        guess = canonical_area_lower_bound(inst) * 1.3
+        canonical_list_schedule(inst, guess)
+        nudged = guess * (1 + 1e-7)
+        assert (
+            inst.engine.allotment(nudged).procs.tolist()
+            == inst.engine.allotment(guess).procs.tolist()
+        )
+        canonical_list_schedule(inst, nudged)
+        assert inst.engine_cache_info()["placement_hits"] == 1
+
+    def test_every_returned_schedule_is_validated(self, monkeypatch):
+        inst = self.fresh_instance()
+        guess = canonical_area_lower_bound(inst) * 1.3
+        calls = []
+        original = Schedule.validate
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Schedule, "validate", counting)
+        first = canonical_list_schedule(inst, guess)
+        second = canonical_list_schedule(inst, guess)
+        assert calls == [first, second]
+
+    def test_gamma_counters_keep_their_meaning(self):
+        inst = self.fresh_instance()
+        engine = inst.engine
+        guess = canonical_area_lower_bound(inst) * 1.3
+        engine.clear_cache()
+        canonical_list_schedule(inst, guess)
+        canonical_list_schedule(inst, guess)
+        info = inst.engine_cache_info()
+        # one γ(d) pass, then a γ hit; one placement build, then a reuse
+        assert (info["misses"], info["hits"]) == (1, 1)
+        assert (info["placement_misses"], info["placement_hits"]) == (1, 1)
+        assert info["size"] == 1 and info["placement_size"] == 1
+        engine.clear_cache()
+        info = engine.cache_info()
+        assert info["placement_size"] == info["placement_hits"] == 0
+
+    def test_placement_lru_is_bounded_by_the_engine_capacity(self):
+        inst = make_workload("uniform", 5, 4, seed=1)
+        engine = allotment_engine.AllotmentEngine(inst.times_matrix, cache_size=2)
+        for key in range(5):
+            engine.placements(bytes([key]), tuple)
+        assert engine.cache_info()["placement_size"] == 2
+
+    def test_pickling_drops_the_memo_with_the_engine(self):
+        inst = self.fresh_instance()
+        MRTScheduler().schedule(inst)
+        assert inst.engine_cache_info()["placement_size"] > 0
+        clone = pickle.loads(pickle.dumps(inst))
+        assert clone.engine_cache_info() is None
+        assert clone.engine.cache_info()["placement_size"] == 0
+
+    def test_memo_dies_with_its_instance(self):
+        inst = self.fresh_instance()
+        schedule = canonical_list_schedule(inst, canonical_area_lower_bound(inst) * 1.3)
+        # the entry is shared with the memo: it survives only if the memo does
+        entry_ref = weakref.ref(schedule.entries[0])
+        del inst, schedule
+        gc.collect()
+        assert entry_ref() is None
+
+    def test_threads_sharing_one_instance_agree(self):
+        serial = self.fresh_instance()
+        expected = json.dumps(MRTScheduler().schedule(serial).as_dict(), sort_keys=True)
+        info = serial.engine_cache_info()
+        lookups = info["placement_hits"] + info["placement_misses"]
+        shared = self.fresh_instance()
+
+        def run(_):
+            return json.dumps(MRTScheduler().schedule(shared).as_dict(), sort_keys=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(run, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
+        # every lookup is counted once: a lost counter update would show
+        info = shared.engine_cache_info()
+        assert info["placement_hits"] + info["placement_misses"] == 8 * lookups
+
+    def test_engine_lock_discipline_passes_rl004(self, tmp_path):
+        # RL004 only scans service/; audit the engine's memo under it too.
+        source = Path(allotment_engine.__file__).read_text()
+        target = tmp_path / "service" / "allotment_engine.py"
+        target.parent.mkdir()
+        target.write_text(source)
+        result = run_lint(tmp_path, rules=["RL004"])
+        assert result.new == []
 
 
 class TestCanonicalListDual:
